@@ -192,10 +192,11 @@ func TestCmdSweepJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &st); err != nil {
 		t.Fatalf("stats line is not JSON: %v", err)
 	}
-	// Iteration-0 schedules are shared across the two models and sizes,
-	// so both counters must be live.
-	if st["cache_misses"] == 0 || st["cache_hits"] == 0 {
-		t.Fatalf("degenerate cache stats: %v", st)
+	// One base per (loop, machine) group — every cell of a group walks
+	// from it, so nothing requests a base twice — and one row per cell.
+	if st["stage_base_requests"] != uint64(nKernels) || st["stage_base_computed"] != uint64(nKernels) ||
+		st["cache_misses"] < uint64(nKernels) || st["rows_computed"] != uint64(nKernels*2*2) {
+		t.Fatalf("stats do not show one base per group and one row per cell: %v", st)
 	}
 }
 
@@ -279,7 +280,7 @@ func TestCmdAllCacheDirIncremental(t *testing.T) {
 	}
 	body1, trailer1 := stripTrailer(first)
 	body2, trailer2 := stripTrailer(second)
-	if len(trailer1) != 4 || len(trailer2) != 4 {
+	if len(trailer1) != 5 || len(trailer2) != 5 {
 		t.Fatalf("trailer shape wrong:\n%v\n%v", trailer1, trailer2)
 	}
 	if body1 != body2 {
@@ -294,11 +295,15 @@ func TestCmdAllCacheDirIncremental(t *testing.T) {
 				t.Fatalf("warm run not served from disk: %q", line)
 			}
 		}
+		if strings.HasPrefix(line, "stage spill:") && line != "stage spill: 0 walks, 0 rounds" {
+			t.Fatalf("warm run walked spill trajectories: %q", line)
+		}
 	}
 	// The cold run must already advertise the disk tier in its trailer
-	// (the rows line is provenance, not a cache stage, so it has none).
+	// (the spill and rows lines are work and provenance counters, not
+	// cache stages, so they have none).
 	for _, line := range trailer1 {
-		if strings.HasPrefix(line, "stage rows:") {
+		if strings.HasPrefix(line, "stage rows:") || strings.HasPrefix(line, "stage spill:") {
 			continue
 		}
 		if !strings.Contains(line, "from disk") {

@@ -260,7 +260,8 @@ func runSweep(ctx context.Context, eng *sweep.Engine, grid sweep.Grid, units []s
 
 // writeStatsJSON emits the -stats object: the legacy cache_* keys
 // describe the schedule stage; the stage_* keys add the full per-stage
-// picture (computed vs memory vs disk tier), the rows_* keys the row
+// picture (computed vs memory vs disk tier), the spill_* keys the spill
+// walks the eval stage ran and their rounds, the rows_* keys the row
 // provenance (computed vs dominance-implied), and the entries_* keys
 // the retained entry counts.
 func writeStatsJSON(eng *sweep.Engine, w io.Writer) error {
@@ -283,6 +284,8 @@ func writeStatsJSON(eng *sweep.Engine, w io.Writer) error {
 		obj["stage_"+s.name+"_memory_hits"] = s.cs.Hits
 		obj["stage_"+s.name+"_disk_hits"] = s.cs.DiskHits
 	}
+	obj["spill_walks"] = st.SpillWalks
+	obj["spill_rounds"] = st.SpillRounds
 	obj["rows_computed"] = st.RowsComputed
 	obj["rows_implied"] = st.RowsImplied
 	obj["entries_schedule"] = uint64(lens.Schedule)

@@ -157,42 +157,125 @@ func regsFor(model core.Model, regs int) int {
 	return regs
 }
 
+// Cell is one (model, register budget) question about a base: does the
+// loop fit in Regs registers per (sub)file under Model, and after how
+// much spilling? Regs <= 0 means an unlimited file.
+type Cell struct {
+	Model core.Model
+	Regs  int
+}
+
 // Evaluate runs the per-model stage chain on top of a shared base:
 // classify and allocate the base schedule under the model, and spill (on
 // a private clone of the base graph) until the allocation fits in regs
-// registers per (sub)file (regs <= 0 = unlimited). The base artifacts
-// are consumed read-only; the scheduler only runs for post-spill rounds,
-// never for the base schedule itself. The requirement measurement is
-// deferred to ModelResult.Requirement.
+// registers per (sub)file (regs <= 0 = unlimited). It is EvaluateCells
+// with one cell.
 func Evaluate(ctx context.Context, sr Scheduler, b *Base, model core.Model, regs int) (*ModelResult, error) {
-	res, err := spill.RunSeeded(ctx, sr, b.Graph, b.Machine, regsFor(model, regs), core.Fit(model), b.Opts, b.seed())
-	if err != nil {
-		return nil, err
+	res, errs, _ := EvaluateCells(ctx, sr, b, []Cell{{Model: model, Regs: regs}})
+	return res[0], errs[0]
+}
+
+// EvaluateCells answers every cell with one spill walk over the base.
+// The walk is the same for every cell — victims come from the unswapped
+// lifetimes and II bumps ignore the budget — so a cell's result is the
+// walk's state at the first round in which it fits. Each round tests
+// every cell still pending through one core.Probe (at most one Classify,
+// and one Swap only when a pending Swapped cell misses unswapped); the
+// walk stops once no cell is pending. A round that answers a cell while
+// others stay pending snapshots the working graph once, and every result
+// of that round — swapped schedules included — is re-pointed at the
+// snapshot. The base artifacts are consumed read-only; the scheduler
+// (through sr, nil = sched.Run) runs only for post-spill rounds. The
+// requirement measurement is deferred to ModelResult.Requirement.
+//
+// It returns one result or error per cell, plus the number of rounds
+// walked. A cell no round answered gets spill.NotConverged; a
+// cancellation or scheduling failure is the error of every cell still
+// pending when it happened.
+func EvaluateCells(ctx context.Context, sr Scheduler, b *Base, cells []Cell) ([]*ModelResult, []error, int) {
+	out := make([]*ModelResult, len(cells))
+	errs := make([]error, len(cells))
+	pending := make([]int, len(cells))
+	for i := range pending {
+		pending[i] = i
 	}
-	return &ModelResult{
-		Model:         model,
-		Sched:         res.Sched,
-		Graph:         res.Graph,
-		Lifetimes:     res.Lifetimes,
-		SpilledValues: res.SpilledValues,
-		SpillStores:   res.SpillStores,
-		SpillLoads:    res.SpillLoads,
-		IIBumps:       res.IIBumps,
-		Iterations:    res.Iterations,
-	}, nil
+	fits := make([]*sched.Schedule, len(cells))
+	rounds, err := spill.Walk(ctx, sr, b.Graph, b.Machine, b.Opts, b.seed(), func(r *spill.Result) bool {
+		probe := core.NewProbe(r.Sched, r.Lifetimes)
+		left := pending[:0]
+		var answered []int
+		for _, i := range pending {
+			c := cells[i]
+			var ok bool
+			if regs := regsFor(c.Model, c.Regs); regs <= 0 {
+				fits[i], ok = r.Sched, true
+			} else {
+				fits[i], ok = probe.Fits(c.Model, regs)
+			}
+			if ok {
+				answered = append(answered, i)
+			} else {
+				left = append(left, i)
+			}
+		}
+		pending = left
+		if len(answered) == 0 {
+			return false
+		}
+		// Once the walk has spilled, its working graph is rewritten in
+		// place if the walk goes on, so results that outlive this round
+		// get a snapshot — and so do schedules of the working graph.
+		g := r.Graph
+		if g != b.Graph && len(pending) > 0 {
+			g = g.Clone()
+		}
+		for _, i := range answered {
+			s := fits[i]
+			if s.Graph == r.Graph && g != r.Graph {
+				repointed := *s
+				repointed.Graph = g
+				s = &repointed
+			}
+			out[i] = &ModelResult{
+				Model:         cells[i].Model,
+				Sched:         s,
+				Graph:         g,
+				Lifetimes:     r.Lifetimes,
+				SpilledValues: r.SpilledValues,
+				SpillStores:   r.SpillStores,
+				SpillLoads:    r.SpillLoads,
+				IIBumps:       r.IIBumps,
+				Iterations:    r.Iterations,
+			}
+		}
+		return len(pending) == 0
+	})
+	for _, i := range pending {
+		if err != nil {
+			errs[i] = err
+		} else {
+			errs[i] = spill.NotConverged(b.Graph, regsFor(cells[i].Model, cells[i].Regs))
+		}
+	}
+	return out, errs, rounds
 }
 
 // EvaluateAll evaluates every model over one shared base, in the paper's
-// presentation order. The base schedule and lifetimes are computed once
-// (by the caller, building b) and reused by all four models.
+// presentation order, with one spill walk. The base schedule and
+// lifetimes are computed once (by the caller, building b) and reused by
+// all four models.
 func EvaluateAll(ctx context.Context, sr Scheduler, b *Base, regs int) ([core.NumModels]*ModelResult, error) {
 	var out [core.NumModels]*ModelResult
-	for _, model := range core.Models {
-		r, err := Evaluate(ctx, sr, b, model, regs)
-		if err != nil {
-			return out, fmt.Errorf("%s/%v: %w", b.Graph.LoopName, model, err)
+	cells := make([]Cell, len(core.Models))
+	for i, model := range core.Models {
+		cells[i] = Cell{Model: model, Regs: regs}
+	}
+	res, errs, _ := EvaluateCells(ctx, sr, b, cells)
+	for i, model := range core.Models {
+		if errs[i] != nil {
+			return out, fmt.Errorf("%s/%v: %w", b.Graph.LoopName, model, errs[i])
 		}
-		out[model] = r
+		out[model] = res[i]
 	}
 	return out, nil
 }

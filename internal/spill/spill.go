@@ -1,11 +1,17 @@
 // Package spill implements the paper's "naive" spiller (section 5.4):
 // when a loop's register requirement exceeds the physical file, the value
 // with the longest lifetime is spilled — a store after its producer and a
-// reload before its consumers — the dependence graph is rebuilt, the loop
-// is modulo-scheduled again and allocation is retried, until the loop
-// fits. When no spillable value remains, the initiation interval is
-// increased by one (the paper's first listed alternative) so the process
-// always terminates.
+// reload before its consumers — the working graph is rewritten in place,
+// the loop is modulo-scheduled again and allocation is retried, until the
+// loop fits. When no spillable value remains, the initiation interval is
+// increased by one (the paper's first listed alternative).
+//
+// The sequence of rounds — the spill trajectory — depends on neither the
+// register-file model nor the budget: the victim is read off the
+// unswapped schedule's lifetimes and II bumps ignore the budget. Walk
+// exposes that trajectory to a visitor, so one walk can answer every
+// (model, budget) question about a loop; RunSeeded is the visitor that
+// asks one.
 package spill
 
 import (
@@ -52,8 +58,11 @@ type Result struct {
 // including spill code.
 func (r *Result) MemOps() int { return r.Graph.MemOps() }
 
-// maxIterations bounds the spill loop; it is far beyond anything the
-// corpus needs and converts algorithmic surprises into errors.
+// maxIterations bounds the spill walk. It converts a loop that never
+// fits into an error instead of an endless walk, and it is reached in
+// practice: tight budgets (8 registers on the 3- and 6-cycle machines)
+// leave some loops fully spilled with MaxLive still above the budget, so
+// every later round only bumps II until the cap ends the walk.
 const maxIterations = 400
 
 // Scheduler abstracts sched.Run so the spill loop can be driven through
@@ -87,7 +96,54 @@ func Run(g *ddg.Graph, m *machine.Config, regs int, fit FitFunc, opts sched.Opti
 // the loop works on g directly until it must insert spill code, and only
 // then switches to a private clone. ctx is checked between rounds, so a
 // cancelled context stops a long spill search promptly.
+//
+// It is Walk with a visitor holding one pending question: does this
+// round fit in regs registers?
 func RunSeeded(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Config, regs int, fit FitFunc, opts sched.Options, seed *Seed) (*Result, error) {
+	var res *Result
+	_, err := Walk(ctx, sr, g, m, opts, seed, func(r *Result) bool {
+		if regs <= 0 {
+			res = r
+			return true
+		}
+		if final, ok := fit(r.Sched, r.Lifetimes, regs); ok {
+			res = r
+			res.Sched = final
+			return true
+		}
+		return false
+	})
+	if err != nil {
+		return nil, err
+	}
+	if res == nil {
+		return nil, NotConverged(g, regs)
+	}
+	return res, nil
+}
+
+// NotConverged is the error of a question a full walk never answered:
+// the loop did not fit in regs registers within the round cap.
+func NotConverged(g *ddg.Graph, regs int) error {
+	return fmt.Errorf("spill: loop %s did not converge in %d rounds (regs=%d)", g.LoopName, maxIterations, regs)
+}
+
+// Walk runs the spill trajectory of g on m and calls visit once per
+// round with the walk's state: the round's schedule and lifetimes, the
+// working graph they were computed from, and the counters so far
+// (Iterations is the 1-based round number). A visitor that answers a
+// question at this round reads its result off that state; returning
+// true stops the walk. The state is a fresh *Result per round, but its
+// Graph is the working graph, which the walk rewrites in place before
+// the next round: a visitor that lets the walk go on and keeps a result
+// must keep a clone of it — and a schedule re-pointed at that clone,
+// since a directly scheduled round (sr == nil) is a schedule of the
+// working graph itself.
+//
+// sr, seed and ctx mean what they mean for RunSeeded. Walk returns the
+// number of rounds walked; a nil error with the visitor never having
+// stopped the walk means the round cap ran out.
+func Walk(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Config, opts sched.Options, seed *Seed, visit func(*Result) bool) (int, error) {
 	schedule := sched.Run
 	if sr != nil {
 		schedule = sr.Schedule
@@ -102,15 +158,14 @@ func RunSeeded(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 			}
 		}
 	}()
-	res := &Result{}
+	var state Result
 	unspillable := make(map[int]bool) // node IDs whose values may not be spilled again
 	slot := 0
 
 	for iter := 0; iter < maxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("spill: %s: %w", g.LoopName, err)
+			return iter, fmt.Errorf("spill: %s: %w", g.LoopName, err)
 		}
-		res.Iterations = iter + 1
 		var s *sched.Schedule
 		var lts []lifetime.Lifetime
 		if iter == 0 && seed != nil {
@@ -119,23 +174,20 @@ func RunSeeded(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 			var err error
 			s, err = schedule(work, m, opts)
 			if err != nil {
-				return nil, fmt.Errorf("spill: %w", err)
+				return iter + 1, fmt.Errorf("spill: %w", err)
 			}
 			lts = lifetime.Compute(s)
 		}
-		if regs <= 0 {
-			res.Sched, res.Graph, res.Lifetimes = s, work, lts
-			return res, nil
-		}
-		if final, ok := fit(s, lts, regs); ok {
-			res.Sched, res.Graph, res.Lifetimes = final, work, lts
-			return res, nil
+		state.Sched, state.Graph, state.Lifetimes, state.Iterations = s, work, lts, iter+1
+		round := state
+		if visit(&round) {
+			return iter + 1, nil
 		}
 		victim, ok := pickVictim(work, lts, unspillable)
 		if !ok {
 			// Everything is spilled and it still does not fit: relax
 			// the schedule by forcing a larger II.
-			res.IIBumps++
+			state.IIBumps++
 			if opts.MinII <= s.II {
 				opts.MinII = s.II + 1
 			} else {
@@ -148,12 +200,11 @@ func RunSeeded(ctx context.Context, sr Scheduler, g *ddg.Graph, m *machine.Confi
 		}
 		stores, loads := insertSpill(work, victim, slot, unspillable)
 		slot++
-		res.SpilledValues++
-		res.SpillStores += stores
-		res.SpillLoads += loads
+		state.SpilledValues++
+		state.SpillStores += stores
+		state.SpillLoads += loads
 	}
-	return nil, fmt.Errorf("spill: loop %s did not converge in %d rounds (regs=%d)",
-		g.LoopName, maxIterations, regs)
+	return maxIterations, nil
 }
 
 // pickVictim selects the spillable value with the longest lifetime, as

@@ -29,6 +29,30 @@ func encodeStream(t *testing.T, run func(emit func(Result)) error) []byte {
 	return buf.Bytes()
 }
 
+// sweepUnitsFlat is the per-cell reference executor: every unit
+// independently requests its stages through the cache (Engine.Compile,
+// whose eval miss walks the spill trajectory for that one cell), in unit
+// order. The base-major executor must emit a byte-identical stream over
+// any grid and any shard split.
+func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, emit func(Result)) error {
+	out := newReorder(emit)
+	return e.ForEach(ctx, len(units), func(i int) error {
+		u := units[i]
+		r := rowFor(grid, u)
+		res, err := e.Compile(ctx, grid.Corpus[u.Loop], grid.Machines[u.Machine], u.Model, u.Regs)
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			r.Error = err.Error()
+		} else {
+			r.Fill(res)
+		}
+		out.put(i, r)
+		return nil
+	})
+}
+
 // TestBaseMajorMatchesFlatStream is the equivalence property of the
 // two-level executor: over randomized grids and randomized shard
 // splits, the base-major path emits a stream byte-identical to the flat

@@ -90,6 +90,10 @@ type Cache struct {
 	store                       *store.Store
 	schedDiskHits, evalDiskHits atomic.Uint64
 
+	// spillWalks and spillRounds count the spill walks the eval stage
+	// ran and the rounds they walked; see StageStats.
+	spillWalks, spillRounds atomic.Uint64
+
 	// digests memoizes the canonical digest per graph pointer, keyed on
 	// the graph's (node count, edge count) for invalidation: every graph
 	// mutator in this repository only ever adds nodes and edges (the
@@ -352,16 +356,56 @@ func (c *Cache) Evaluate(ctx context.Context, g *ddg.Graph, m *machine.Config, o
 }
 
 // EvaluateBase is Evaluate for a caller that already holds the shared
-// base artifact — the per-unit call of the base-major sweep executor,
-// which requests the base exactly once per (loop, machine) group. The
-// eval stage is still served through the same single-flight and disk
-// tiers; only a full miss consumes b, so a warm store never pays for
-// the per-model chain twice.
+// base artifact (e.g. a frontier probe). The eval stage is still served
+// through the same single-flight and disk tiers; only a full miss
+// consumes b, so a warm store never pays for the per-model chain twice.
 func (c *Cache) EvaluateBase(ctx context.Context, b *pipeline.Base, model core.Model, regs int) (*pipeline.ModelResult, error) {
 	key := c.evalKeyOf(b.Graph, b.Machine, b.Opts, model, regs)
-	return c.evalThrough(ctx, key, b.Machine, func() (*pipeline.Base, error) {
-		return b, nil
+	return c.evalThrough(ctx, key, b.Machine, have(b))
+}
+
+// have is the base supplier of a caller already holding the base.
+func have(b *pipeline.Base) func() (*pipeline.Base, error) {
+	return func() (*pipeline.Base, error) { return b, nil }
+}
+
+// EvaluateCells serves every cell of one (loop, machine) group over its
+// shared base b: the batch form of EvaluateBase, with one result or
+// error per cell under the same eval keys. Each cell is looked up in
+// the flight and disk tiers first; one spill walk (pipeline.EvaluateCells)
+// answers every cell that missed both, and its results are written
+// behind (see evalCells). Cells claimed by a concurrent caller (or
+// repeated within cells) wait on that caller's computation.
+func (c *Cache) EvaluateCells(ctx context.Context, b *pipeline.Base, cells []pipeline.Cell) ([]*pipeline.ModelResult, []error) {
+	res, errs := make([]*pipeline.ModelResult, len(cells)), make([]error, len(cells))
+	keys := make([]evalKey, len(cells))
+	var ownKeys []evalKey
+	var own []*slot[*pipeline.ModelResult]
+	owned := make([]bool, len(cells))
+	for i, cell := range cells {
+		keys[i] = c.evalKeyOf(b.Graph, b.Machine, b.Opts, cell.Model, cell.Regs)
+		s, created, err := c.evals.claim(ctx, keys[i])
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		if created {
+			ownKeys, own, owned[i] = append(ownKeys, keys[i]), append(own, s), true
+		}
+	}
+	c.evals.run(ownKeys, own, func(vals []*pipeline.ModelResult, errs []error) {
+		c.evalCells(ctx, b.Machine, have(b), ownKeys, vals, errs)
 	})
+	for i, j := 0, 0; i < len(cells); i++ {
+		switch {
+		case owned[i]:
+			res[i], errs[i] = own[j].val, own[j].err
+			j++
+		case errs[i] == nil:
+			res[i], errs[i] = c.evalThrough(ctx, keys[i], b.Machine, have(b))
+		}
+	}
+	return res, errs
 }
 
 // evalKeyOf normalizes the budget and builds the eval-stage key.
@@ -376,26 +420,58 @@ func (c *Cache) evalKeyOf(g *ddg.Graph, m *machine.Config, opts sched.Options, m
 // tiers; base supplies the shared base artifact only on a full miss.
 func (c *Cache) evalThrough(ctx context.Context, key evalKey, m *machine.Config, base func() (*pipeline.Base, error)) (*pipeline.ModelResult, error) {
 	return c.evals.do(ctx, key, func() (*pipeline.ModelResult, error) {
-		if res, ok := c.loadEval(key, m); ok {
-			return res, nil
-		}
-		b, err := base()
-		if err != nil {
-			return nil, err
-		}
-		res, err := pipeline.Evaluate(ctx, c, b, key.model, key.regs)
-		if err == nil {
-			c.saveEval(key, res)
-		}
-		return res, err
+		vals, errs := make([]*pipeline.ModelResult, 1), make([]error, 1)
+		c.evalCells(ctx, m, base, []evalKey{key}, vals, errs)
+		return vals[0], errs[0]
 	})
+}
+
+// evalCells computes the eval keys into vals/errs: disk hits first, then
+// one spill walk over the base for the rest — base is called only if
+// some key misses the disk. Successful walk results are written behind;
+// failures never are. The walk schedules its post-spill rounds with
+// sched.Run directly, not through the schedule stage: digesting,
+// cloning and retaining every round's schedule cost a dense grid most
+// of its memory, and a single-cell walk that revisits rounds (a
+// frontier probe) saves less CPU by it than the memory is worth (see
+// DESIGN.md, "Spill trajectory").
+func (c *Cache) evalCells(ctx context.Context, m *machine.Config, base func() (*pipeline.Base, error), keys []evalKey, vals []*pipeline.ModelResult, errs []error) {
+	var cells []pipeline.Cell
+	var at []int
+	for j, k := range keys {
+		if res, ok := c.loadEval(k, m); ok {
+			vals[j] = res
+			continue
+		}
+		cells, at = append(cells, pipeline.Cell{Model: k.model, Regs: k.regs}), append(at, j)
+	}
+	if len(cells) == 0 {
+		return
+	}
+	b, err := base()
+	if err != nil {
+		for _, j := range at {
+			errs[j] = err
+		}
+		return
+	}
+	out, werrs, rounds := pipeline.EvaluateCells(ctx, nil, b, cells)
+	c.spillWalks.Add(1)
+	c.spillRounds.Add(uint64(rounds))
+	for w, j := range at {
+		vals[j], errs[j] = out[w], werrs[w]
+		if werrs[w] == nil {
+			c.saveEval(keys[j], out[w])
+		}
+	}
 }
 
 // Forget drops the digest memo for g. The spill loop calls this (via an
 // optional interface check in spill.RunSeeded) when a private working
-// graph dies, so the memo doesn't pin dead graphs for the engine's
-// lifetime. The schedule entries themselves are kept — they ARE the
-// cache, and later identical content still hits them.
+// graph dies, if the cache is its Scheduler (the eval stage never makes
+// it one, but library callers may), so the memo doesn't pin dead graphs
+// for the engine's lifetime. The schedule entries themselves are kept —
+// they ARE the cache, and later identical content still hits them.
 func (c *Cache) Forget(g *ddg.Graph) { c.digests.Delete(g) }
 
 // tierStats composes one stage's flight counters with its disk counter
@@ -425,6 +501,12 @@ type StageStats struct {
 	Base CacheStats
 	// Eval counts per-model stage requests (classify/allocate/spill).
 	Eval CacheStats
+	// SpillWalks counts the spill walks eval misses ran — one per
+	// (loop, machine) group of a sweep, one per single-cell miss — and
+	// SpillRounds the rounds they walked in total. Both are
+	// deterministic for a given request set: a walk stops at the round
+	// that answers its last pending cell, or at the round cap.
+	SpillWalks, SpillRounds uint64
 	// Persistent reports whether a disk tier is attached; when true the
 	// rendered lines include the per-stage disk hit counts.
 	Persistent bool
@@ -453,16 +535,19 @@ func (s StageStats) String() string {
 	return line("schedule", s.Schedule) + "\n" +
 		line("base", s.Base) + "\n" +
 		line("eval", s.Eval) + "\n" +
+		fmt.Sprintf("stage spill: %d walks, %d rounds\n", s.SpillWalks, s.SpillRounds) +
 		fmt.Sprintf("stage rows: %d computed, %d implied", s.RowsComputed, s.RowsImplied)
 }
 
 // StageStats returns a snapshot of every stage's counters.
 func (c *Cache) StageStats() StageStats {
 	return StageStats{
-		Schedule:   c.Stats(),
-		Base:       tierStats(0, c.bases.hits.Load(), c.bases.misses.Load()),
-		Eval:       tierStats(c.evalDiskHits.Load(), c.evals.hits.Load(), c.evals.misses.Load()),
-		Persistent: c.store != nil,
+		Schedule:    c.Stats(),
+		Base:        tierStats(0, c.bases.hits.Load(), c.bases.misses.Load()),
+		Eval:        tierStats(c.evalDiskHits.Load(), c.evals.hits.Load(), c.evals.misses.Load()),
+		SpillWalks:  c.spillWalks.Load(),
+		SpillRounds: c.spillRounds.Load(),
+		Persistent:  c.store != nil,
 	}
 }
 

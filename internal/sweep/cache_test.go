@@ -11,6 +11,7 @@ import (
 	"ncdrf/internal/ddg"
 	"ncdrf/internal/loops"
 	"ncdrf/internal/machine"
+	"ncdrf/internal/pipeline"
 	"ncdrf/internal/sched"
 )
 
@@ -131,8 +132,10 @@ func TestCacheSurvivesCallerMutation(t *testing.T) {
 }
 
 // TestCompileForgetsWorkingGraphs checks that the spill loop's private
-// working graphs do not pile up in the digest memo: after a spilling
-// compile, only the caller's graph remains memoized.
+// working graphs do not pile up in the digest memo: the eval stage
+// schedules spill rounds without the cache, and a spill walk that does
+// schedule through the cache forgets each working graph when it dies.
+// Either way only the caller's graph stays memoized.
 func TestCompileForgetsWorkingGraphs(t *testing.T) {
 	eng := New(1)
 	g, ok := loops.KernelByName("lfk7-eos")
@@ -146,12 +149,29 @@ func TestCompileForgetsWorkingGraphs(t *testing.T) {
 	if res.SpilledValues == 0 {
 		t.Fatal("test needs a spilling compile to exercise working-graph cleanup")
 	}
-	memoized := 0
-	eng.cache.digests.Range(func(any, any) bool { memoized++; return true })
+	memoized := func() int {
+		n := 0
+		eng.cache.digests.Range(func(any, any) bool { n++; return true })
+		return n
+	}
 	// The base stage digested the caller's long-lived graph (that memo is
-	// useful and stays); the spill loop's private clone must be gone.
-	if memoized != 1 {
-		t.Fatalf("digest memo retains %d graphs, want 1 (the caller's)", memoized)
+	// useful and stays); no working graph may be left behind.
+	if n := memoized(); n != 1 {
+		t.Fatalf("digest memo retains %d graphs after Compile, want 1 (the caller's)", n)
+	}
+	b, err := eng.Base(context.Background(), g, machine.Eval(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := eng.cache.Stats().Misses
+	if _, err := pipeline.Evaluate(context.Background(), eng.cache, b, core.Unified, 24); err != nil {
+		t.Fatal(err)
+	}
+	if eng.cache.Stats().Misses == before {
+		t.Fatal("test needs spill rounds scheduled through the cache")
+	}
+	if n := memoized(); n != 1 {
+		t.Fatalf("digest memo retains %d graphs after a cache-scheduled walk, want 1 (the caller's)", n)
 	}
 }
 

@@ -7,17 +7,15 @@ import (
 	"ncdrf/internal/pipeline"
 )
 
-// This file is the sweep executor: the two-level, base-major plan the
-// engine runs grids with. Execution is grouped (see Group): the unit
-// list is partitioned by (loop, machine), dispatch is group-major so
-// one worker — the first to reach the group — requests the group's
-// shared pipeline.Base exactly once, and every (model, regs) evaluation
-// of the group fans out on the pool consuming that base directly
-// (Cache.EvaluateBase) instead of re-requesting the base stage per
-// unit. A reorder buffer keyed by the unit's original index keeps the
-// emitted stream byte-identical to the flat plan-order stream, so shard
-// files, `ncdrf merge` and PlanDigest compatibility are unaffected by
-// the execution shape.
+// This file is the sweep executor: the base-major plan the engine runs
+// grids with. The unit list is partitioned by (loop, machine) (see
+// Group) and each group is one pool item: its worker requests the
+// group's shared pipeline.Base once, then answers every (model, regs)
+// cell of the group with Cache.EvaluateCells — one spill walk for all
+// the cells the eval tiers miss. A reorder buffer keyed by the unit's
+// original index keeps the emitted stream byte-identical to the
+// plan-order stream, so shard files, `ncdrf merge` and PlanDigest
+// compatibility are unaffected by the execution shape.
 
 // Sweep plans the grid and compiles every unit on the worker pool,
 // calling emit once per unit. Emit calls are serialized and follow plan
@@ -35,28 +33,17 @@ func (e *Engine) Sweep(ctx context.Context, grid Grid, emit func(Result)) error 
 	return e.SweepUnits(ctx, grid, grid.Plan(), emit)
 }
 
-// groupShared is the per-group cell of one SweepUnits call: the shared
-// base artifact, computed by whichever worker reaches the group first.
-// Units of the group arriving while the leader computes block in the
-// Once — the same wait they would have spent inside the base stage's
-// single-flight — and every unit observes the same (base, err) pair.
-type groupShared struct {
-	once sync.Once
-	base *pipeline.Base
-	err  error
-}
-
 // SweepUnits is Sweep over an explicit unit list — a whole plan or one
 // Shard of it. Units index into grid's Corpus and Machines; emit calls
 // are serialized and follow the order of units.
 //
-// Execution is base-major (two-level): units are dispatched group-major
-// per GroupUnits, the group's base artifact is requested once, and the
-// per-unit evaluations fan out on the pool. Because plan order
-// interleaves a group's units across the whole (model × regs) span, the
-// reorder buffer can hold up to roughly a plan's worth of finished rows
-// in the worst case — rows are small value structs, so a dense
-// corpus-wide curve stays in the tens of megabytes.
+// Execution is base-major: one pool item per GroupUnits group, which
+// requests the group's base once and walks its spill trajectory once.
+// Because plan order interleaves a group's units across the whole
+// (model × regs) span, the reorder buffer can hold up to roughly a
+// plan's worth of finished rows in the worst case — rows are small
+// value structs, so a dense corpus-wide curve stays in the tens of
+// megabytes.
 func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit func(Result)) error {
 	return e.SweepUnitsObserved(ctx, grid, units, emit, nil)
 }
@@ -69,69 +56,41 @@ func (e *Engine) SweepUnits(ctx context.Context, grid Grid, units []Unit, emit f
 // buffer's depth. done may be nil.
 func (e *Engine) SweepUnitsObserved(ctx context.Context, grid Grid, units []Unit, emit func(Result), done func()) error {
 	groups := GroupUnits(units)
-	order := make([]int, 0, len(units))
-	shared := make([]*groupShared, len(units))
-	states := make([]groupShared, len(groups))
-	for gi := range groups {
-		for _, ui := range groups[gi].Units {
-			order = append(order, ui)
-			shared[ui] = &states[gi]
-		}
-	}
 	out := newReorder(emit)
-	return e.ForEach(ctx, len(order), func(k int) error {
-		ui := order[k]
-		u := units[ui]
-		r := rowFor(grid, u)
-		gs := shared[ui]
-		gs.once.Do(func() {
-			gs.base, gs.err = e.Base(ctx, grid.Corpus[u.Loop], grid.Machines[u.Machine])
-		})
-		var res *pipeline.ModelResult
-		err := gs.err
+	return e.ForEach(ctx, len(groups), func(gi int) error {
+		gr := groups[gi]
+		b, err := e.Base(ctx, grid.Corpus[gr.Loop], grid.Machines[gr.Machine])
+		var res []*pipeline.ModelResult
+		var errs []error
 		if err == nil {
-			res, err = e.EvaluateBase(ctx, gs.base, u.Model, u.Regs)
-		}
-		if err != nil {
-			// Cancellation is the sweep's error, not the unit's: don't
-			// emit rows a consumer could mistake for compile failures.
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
+			cells := make([]pipeline.Cell, len(gr.Units))
+			for j, ui := range gr.Units {
+				cells[j] = pipeline.Cell{Model: units[ui].Model, Regs: units[ui].Regs}
 			}
-			r.Error = err.Error()
-		} else {
-			r.Fill(res)
+			res, errs = e.cache.EvaluateCells(ctx, b, cells)
 		}
-		e.rowsComputed.Add(1)
-		if done != nil {
-			done()
-		}
-		out.put(ui, r)
-		return nil
-	})
-}
-
-// sweepUnitsFlat is the pre-grouping executor: every unit independently
-// re-requests its stages through the cache, in unit order. It has no
-// production callers and is kept as the reference implementation for
-// the base-major equivalence property test — the two executors must
-// emit byte-identical streams over any grid and any shard split.
-func (e *Engine) sweepUnitsFlat(ctx context.Context, grid Grid, units []Unit, emit func(Result)) error {
-	out := newReorder(emit)
-	return e.ForEach(ctx, len(units), func(i int) error {
-		u := units[i]
-		r := rowFor(grid, u)
-		res, err := e.Compile(ctx, grid.Corpus[u.Loop], grid.Machines[u.Machine], u.Model, u.Regs)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
+		for j, ui := range gr.Units {
+			r := rowFor(grid, units[ui])
+			cellErr := err
+			if cellErr == nil {
+				cellErr = errs[j]
 			}
-			r.Error = err.Error()
-		} else {
-			r.Fill(res)
+			if cellErr != nil {
+				// Cancellation is the sweep's error, not the unit's: don't
+				// emit rows a consumer could mistake for compile failures.
+				if cerr := ctx.Err(); cerr != nil {
+					return cerr
+				}
+				r.Error = cellErr.Error()
+			} else {
+				r.Fill(res[j])
+			}
+			e.rowsComputed.Add(1)
+			if done != nil {
+				done()
+			}
+			out.put(ui, r)
 		}
-		e.rowsComputed.Add(1)
-		out.put(i, r)
 		return nil
 	})
 }

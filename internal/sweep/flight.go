@@ -61,12 +61,16 @@ func newFlight[K comparable, V any](retain func(error) bool) *flight[K, V] {
 func (f *flight[K, V]) do(ctx context.Context, key K, compute func() (V, error)) (V, error) {
 	var zero V
 	for {
-		f.mu.Lock()
-		s, ok := f.slots[key]
-		if !ok {
-			break // this caller computes; f.mu still held
+		s, created, err := f.claim(ctx, key)
+		if err != nil {
+			return zero, err
 		}
-		f.mu.Unlock()
+		if created {
+			f.run([]K{key}, []*slot[V]{s}, func(vals []V, errs []error) {
+				vals[0], errs[0] = compute()
+			})
+			return s.val, s.err
+		}
 		// Wait for the in-flight computation, but honour our own
 		// context: a waiter must not be pinned to another caller's long
 		// computation after its own work is cancelled.
@@ -94,37 +98,51 @@ func (f *flight[K, V]) do(ctx context.Context, key K, compute func() (V, error))
 			return zero, err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		f.mu.Unlock()
-		return zero, err
-	}
-	s := &slot[V]{ready: make(chan struct{})}
-	f.slots[key] = s
-	f.mu.Unlock()
-	f.misses.Add(1)
-
-	f.run(key, s, compute)
-	return s.val, s.err
 }
 
-// run executes compute into s and settles the slot. A panicking compute
-// must not strand the slot: before PR 4 the slot stayed in the map with
-// ready never closed, so every concurrent and future caller for the key
-// blocked forever (e.g. the stale-digest invariant panic in cache.go).
-// Now the panic is converted into the slot's error — settled under the
-// normal retention policy, so waiters observe a real failure — and then
-// re-raised on the computing goroutine, which is the one that owns the
-// broken invariant.
-func (f *flight[K, V]) run(key K, s *slot[V], compute func() (V, error)) {
+// claim returns key's slot. When there is none and ctx is live it
+// creates one, counts the miss and reports created: the caller then owns
+// the computation and must publish it through run. An existing slot is
+// returned as is — in flight or settled — for the caller to wait on.
+func (f *flight[K, V]) claim(ctx context.Context, key K) (s *slot[V], created bool, err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if s, ok := f.slots[key]; ok {
+		return s, false, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	s = &slot[V]{ready: make(chan struct{})}
+	f.slots[key] = s
+	f.misses.Add(1)
+	return s, true, nil
+}
+
+// run computes the claimed slots together — compute fills one value or
+// error per slot — and settles them. A panicking compute must not strand
+// its slots: a slot left in the map with ready never closed would block
+// every concurrent and future caller for its key forever (e.g. after the
+// stale-digest invariant panic in cache.go). So the panic becomes every
+// slot's error — settled under the normal retention policy, so waiters
+// observe a real failure — and is then re-raised on the computing
+// goroutine, which is the one that owns the broken invariant.
+func (f *flight[K, V]) run(keys []K, slots []*slot[V], compute func(vals []V, errs []error)) {
+	vals, errs := make([]V, len(slots)), make([]error, len(slots))
 	defer func() {
 		if r := recover(); r != nil {
-			s.err = fmt.Errorf("sweep: cached computation panicked: %v", r)
-			f.settle(key, s)
+			for i, s := range slots {
+				s.err = fmt.Errorf("sweep: cached computation panicked: %v", r)
+				f.settle(keys[i], s)
+			}
 			panic(r)
 		}
 	}()
-	s.val, s.err = compute()
-	f.settle(key, s)
+	compute(vals, errs)
+	for i, s := range slots {
+		s.val, s.err = vals[i], errs[i]
+		f.settle(keys[i], s)
+	}
 }
 
 // settle applies the retention policy and publishes the outcome. The

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"ncdrf/internal/core"
+	"ncdrf/internal/pipeline"
 )
 
 // This file is the frontier executor: the dominance-pruned form of the
@@ -33,6 +34,17 @@ import (
 // logged through FrontierOptions.OnViolation and recomputed densely —
 // the stream stays byte-identical to the dense run by construction for
 // fallback series, and by the guarded theorem for pruned ones.
+
+// groupShared is the per-(loop, machine) cell of one SweepFrontier
+// call: the shared base artifact, computed by whichever series of the
+// group reaches it first. Series arriving while it computes block in
+// the Once — the same wait they would have spent inside the base stage's
+// single-flight — and every series observes the same (base, err) pair.
+type groupShared struct {
+	once sync.Once
+	base *pipeline.Base
+	err  error
+}
 
 // FrontierViolation identifies one series whose computed cells
 // contradicted the dominance assumptions; the engine fell back to dense

@@ -127,11 +127,6 @@ func (e *Engine) Schedule(g *ddg.Graph, m *machine.Config, opts sched.Options) (
 	return e.cache.Schedule(g, m, opts)
 }
 
-// Forget forwards to Cache.Forget so the engine itself satisfies the
-// spill loop's optional working-graph cleanup interface (VerifySample
-// hands the engine, not the cache, to vm.VerifyModelWith).
-func (e *Engine) Forget(g *ddg.Graph) { e.cache.Forget(g) }
-
 // Base returns the shared base-stage artifact (schedule + lifetimes) of
 // g on m with default options, served through the stage cache.
 func (e *Engine) Base(ctx context.Context, g *ddg.Graph, m *machine.Config) (*pipeline.Base, error) {
@@ -147,9 +142,8 @@ func (e *Engine) Compile(ctx context.Context, g *ddg.Graph, m *machine.Config, m
 }
 
 // EvaluateBase evaluates one model over an already-obtained shared base
-// artifact, served through the eval cache. This is how the base-major
-// sweep executor avoids re-requesting the base stage per unit: the
-// group leader calls Base once, every unit of the group calls this.
+// artifact, served through the eval cache, without re-requesting the
+// base stage (the frontier executor's probe).
 func (e *Engine) EvaluateBase(ctx context.Context, b *pipeline.Base, model core.Model, regs int) (*pipeline.ModelResult, error) {
 	return e.cache.EvaluateBase(ctx, b, model, regs)
 }
